@@ -4,6 +4,16 @@ compat layer — same call sequence, same expectations."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
+# The reference checkout sits beside this repo unless TEXTGRAPHS_REFERENCE
+# names it; its GOR example is read only where present.
+REFERENCE_DIR = Path(os.environ.get(
+    "TEXTGRAPHS_REFERENCE", Path(__file__).resolve().parents[2] / "reference"))
+REFERENCE_INGRAM = REFERENCE_DIR / "examples" / "ingram.json"
+GOR_HUB = Path(__file__).parent / "data" / "gor_hub.json"
+
 
 def test_extract_herzog_via_compat():
     import textgraphs_ray.compat as textgraphs
@@ -56,15 +66,30 @@ def test_compat_multi_doc_accumulation_and_er():
     assert cl["werner.PROPN.herzog.PROPN"] == cl["w..PROPN.herzog.PROPN"]
 
 
-def test_gor_compat_matches_pipeline():
-    from textgraphs_ray.compat import GraphOfRelations, KGWikiMedia
+def _gor_via_compat(path):
+    from textgraphs_ray.compat import GraphOfRelations
 
     g = GraphOfRelations()
-    g.load_ingram("/root/reference/examples/ingram.json")
+    g.load_ingram(str(path))
     g.seeds()
     g.construct_gor()
-    df = g.get_affinity_scores()
-    assert len(df) == 12 and {"rel_a", "rel_b", "score"} <= set(df.columns)
+    return g.get_affinity_scores()
+
+
+def test_gor_compat_matches_pipeline():
+    import ray.data as rd
+
+    from textgraphs_ray.compat import KGWikiMedia
+    from textgraphs_ray.pipelines.gor import affinity_scores, load_ingram
+
+    df = _gor_via_compat(GOR_HUB)
+    edges, rels, _ = load_ingram(str(GOR_HUB))
+    assert df.equals(affinity_scores(rd.from_arrow(edges), rels))
+    assert {"rel_a", "rel_b", "score"} <= set(df.columns)
+    if os.path.exists(REFERENCE_INGRAM):
+        # the 12 pairs of REFERENCE_OBSERVED in test_gor.py
+        df = _gor_via_compat(REFERENCE_INGRAM)
+        assert len(df) == 12 and {"rel_a", "rel_b", "score"} <= set(df.columns)
 
     kg = KGWikiMedia()
     assert kg.remap_ner("PERSON") == "http://dbpedia.org/ontology/Person"
